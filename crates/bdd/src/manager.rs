@@ -67,99 +67,37 @@ pub struct BddManager {
     /// Reusable stacks of the iterative apply machine (see
     /// [`crate::apply`]).
     pub(crate) scratch: crate::apply::ApplyScratch,
-    /// Worker threads for intra-operation parallel sections (1 = always
-    /// sequential; see [`crate::par`]).
-    pub(crate) compile_threads: usize,
-    /// Minimum operand size (capped node count) below which an operation
-    /// stays sequential even when `compile_threads > 1`.
-    pub(crate) par_grain: usize,
 }
-
-/// Default sequential-grain cutoff: operands smaller than this never
-/// open a parallel section (splitting overhead would dominate).
-pub const DEFAULT_PAR_GRAIN: usize = 4096;
 
 impl BddManager {
     /// Creates a manager over `num_levels` boolean variable levels.
-    ///
-    /// Complemented edges are **enabled** by default (negation becomes
-    /// O(1) and a function shares every node with its complement); call
-    /// [`BddManager::set_complement`] before building anything to opt
-    /// out.
     pub fn new(num_levels: usize) -> Self {
-        let mut dd = DdKernel::new(vec![2; num_levels]);
-        dd.set_complement(true);
-        Self { dd, scratch: Default::default(), compile_threads: 1, par_grain: DEFAULT_PAR_GRAIN }
+        Self { dd: DdKernel::new(vec![2; num_levels]), scratch: Default::default() }
     }
 
     /// Creates a manager whose operation cache starts with `capacity`
     /// slots and may grow up to `max_capacity` (both rounded to powers of
     /// two; equal bounds pin the size). The cache is lossy, so any
     /// capacity — even 1 — produces identical diagrams; smaller caches
-    /// only recompute more. Complemented edges default to enabled, as in
-    /// [`BddManager::new`].
+    /// only recompute more.
     pub fn with_cache_capacity(num_levels: usize, capacity: usize, max_capacity: usize) -> Self {
-        let mut dd = DdKernel::with_cache_capacity(vec![2; num_levels], capacity, max_capacity);
-        dd.set_complement(true);
-        Self { dd, scratch: Default::default(), compile_threads: 1, par_grain: DEFAULT_PAR_GRAIN }
+        Self {
+            dd: DdKernel::with_cache_capacity(vec![2; num_levels], capacity, max_capacity),
+            scratch: Default::default(),
+        }
     }
 
-    /// Enables or disables complemented-edge mode. Must be called before
-    /// any node is created (the kernel panics otherwise): mixing plain
-    /// and complemented canonical forms in one arena would break
-    /// canonicity.
-    pub fn set_complement(&mut self, on: bool) {
-        self.dd.set_complement(on);
-    }
+    /// No-op kept only for the frozen benchmark replica under
+    /// `perfbench/`, which still configures its managers through it;
+    /// every diagram uses plain edges, so this changes no answer.
+    #[doc(hidden)]
+    pub fn set_complement(&mut self, _on: bool) {}
 
-    /// Whether this manager uses complemented edges.
-    pub fn complement_enabled(&self) -> bool {
-        self.dd.complement_enabled()
-    }
-
-    /// Verifies the complemented-edge canonical form over the whole
-    /// arena: with complement mode on, no stored node may carry a
-    /// complemented **or ZERO** high (then) edge — exactly one of `f` and
-    /// `¬f` has a regular top edge, which is what makes edges canonical.
-    /// With complement mode off, no stored edge may carry the complement
-    /// bit at all. Returns `true` when the invariant holds (test/debug
-    /// helper; cost is linear in the arena).
-    pub fn check_complement_invariant(&self) -> bool {
-        let cpl = self.dd.complement_enabled();
-        (2..self.dd.allocated_nodes() as u32).all(|id| {
-            let children = self.dd.children(id);
-            if children.is_empty() {
-                return true; // only terminals are childless, and they sit at ids 0 and 1
-            }
-            if cpl {
-                !socy_dd::is_complemented(children[1]) && children[1] != socy_dd::ZERO
-            } else {
-                children.iter().all(|&c| !socy_dd::is_complemented(c))
-            }
-        })
-    }
-
-    /// Sets the number of worker threads used *inside* a single
-    /// apply/ITE call. `1` (the default) keeps every operation on the
-    /// calling thread; higher counts split large operations across a
-    /// work-stealing pool with canonical, thread-count-invariant results
-    /// (node counts and probabilities are bit-identical at every
-    /// setting).
-    pub fn set_compile_threads(&mut self, threads: usize) {
-        self.compile_threads = threads.max(1);
-    }
-
-    /// Worker threads used inside a single operation.
-    pub fn compile_threads(&self) -> usize {
-        self.compile_threads
-    }
-
-    /// Sets the sequential-grain cutoff: operations whose operands hold
-    /// fewer than `grain` nodes stay sequential even with
-    /// [`BddManager::set_compile_threads`] above 1.
-    pub fn set_par_grain(&mut self, grain: usize) {
-        self.par_grain = grain.max(1);
-    }
+    /// No-op kept only for the frozen benchmark replica under
+    /// `perfbench/`, which still configures its managers through it;
+    /// compilation is always sequential, so this changes no answer.
+    #[doc(hidden)]
+    pub fn set_compile_threads(&mut self, _threads: usize) {}
 
     /// The FALSE terminal.
     pub fn zero(&self) -> BddId {
@@ -272,13 +210,6 @@ impl BddManager {
         self.dd.allocated_nodes()
     }
 
-    /// Number of nodes reachable from `root`, but never counting past
-    /// `cap` — a cheap "is this operand at least this big?" probe (used
-    /// by the coded-ROBDD → ROMDD converter's parallel-grain gate).
-    pub fn node_count_capped(&self, root: BddId, cap: usize) -> usize {
-        self.dd.node_count_capped(&[root.0], cap)
-    }
-
     /// Kernel statistics: peak/live nodes, unique-table entries,
     /// operation-cache hit/miss counts and collection totals.
     pub fn stats(&self) -> DdStats {
@@ -286,8 +217,7 @@ impl BddManager {
     }
 
     /// Arms (or, with `None`, disarms) the kernel's resource governor:
-    /// every subsequent node materialisation — sequential or through a
-    /// parallel section — reports to it. See
+    /// every subsequent node materialisation reports to it. See
     /// [`DdKernel::set_governor`](socy_dd::DdKernel::set_governor).
     pub fn set_governor(&mut self, governor: Option<socy_dd::Governor>) {
         self.dd.set_governor(governor);
@@ -298,6 +228,15 @@ impl BddManager {
     /// cache memory.
     pub fn clear_op_caches(&mut self) {
         self.dd.clear_op_cache();
+    }
+
+    /// Frees the unique table and the operation cache of a diagram that
+    /// is only read from now on (converted, counted, evaluated), keeping
+    /// the nodes and every statistic. A later construction re-registers
+    /// the nodes first, so results are unaffected. See
+    /// [`DdKernel::release_lookup_tables`](socy_dd::DdKernel::release_lookup_tables).
+    pub fn release_lookup_tables(&mut self) {
+        self.dd.release_lookup_tables();
     }
 
     // ---- garbage collection and reordering ---------------------------------

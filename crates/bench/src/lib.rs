@@ -137,10 +137,6 @@ pub struct ResultRow {
     /// ROBDD operation-cache evict rate (evictions per insertion) of the
     /// build, in percent.
     pub robdd_cache_evict_percent: f64,
-    /// ROBDD operation-cache hits obtained through a complemented-edge
-    /// negation normalization (`0` when complemented edges are off).
-    /// Counts cache behaviour, so the anchors treat it as volatile.
-    pub robdd_complement_hits: u64,
     /// Wall-clock seconds of this row's evaluation. For rows produced by
     /// a sweep this **excludes** the compile, which
     /// [`compile_seconds`](ResultRow::compile_seconds) carries; for rows
@@ -150,19 +146,6 @@ pub struct ResultRow {
     /// Wall-clock seconds of the compile that produced the evaluated
     /// diagram (coded-ROBDD build + ROMDD conversion).
     pub compile_seconds: f64,
-    /// Intra-compilation parallel sections opened while compiling this
-    /// row's diagrams (ROBDD + ROMDD managers; `0` under sequential
-    /// compilation). `par_*` fields track the compile-thread resource
-    /// knob, so the anchors treat them as volatile.
-    pub par_sections: u64,
-    /// Tasks those parallel sections were split into.
-    pub par_tasks: u64,
-    /// Work-stealing pool steals inside those sections
-    /// (scheduling-dependent).
-    pub par_steals: u64,
-    /// Contended unique-table shard acquisitions inside those sections
-    /// (scheduling-dependent).
-    pub par_shard_contention: u64,
 }
 
 impl ResultRow {
@@ -188,14 +171,8 @@ impl ResultRow {
             robdd_cache_evictions: report.robdd_stats.op_cache_evictions,
             robdd_cache_hit_percent: report.robdd_stats.op_cache_hit_rate_percent(),
             robdd_cache_evict_percent: report.robdd_stats.op_cache_evict_rate_percent(),
-            robdd_complement_hits: report.robdd_stats.complement_hits,
             seconds: report.total_time.as_secs_f64(),
             compile_seconds: (report.robdd_time + report.conversion_time).as_secs_f64(),
-            par_sections: report.robdd_stats.par_sections + report.romdd_stats.par_sections,
-            par_tasks: report.robdd_stats.par_tasks + report.romdd_stats.par_tasks,
-            par_steals: report.robdd_stats.par_steals + report.romdd_stats.par_steals,
-            par_shard_contention: report.robdd_stats.par_shard_contention
-                + report.romdd_stats.par_shard_contention,
         }
     }
 }
@@ -337,7 +314,7 @@ pub fn run_workload(workload: &Workload, spec: OrderingSpec) -> Result<ResultRow
 /// compilation trips its resource budget (the exploding `vw` / `vrw`
 /// orderings under a pinned `--node-budget`). The bounds depend only on
 /// the fault tree and the defect model, never on the diagrams, so the
-/// row is bit-identical at every thread count and complement mode and
+/// row is bit-identical at every thread count and
 /// can be pinned as an anchor fixture.
 ///
 /// # Errors
@@ -462,13 +439,10 @@ pub struct CliArgs {
     /// cores). Any value produces bit-identical tables; it only changes
     /// the wall-clock time.
     pub threads: usize,
-    /// The shared kernel knobs and resource limits (`--compile-threads`,
-    /// `--compile-grain`, `--no-complement-edges`, `--op-cache-capacity`,
-    /// `--node-budget`, `--deadline-ms`): one
+    /// The shared resource limits (`--node-budget`, `--deadline-ms`): one
     /// [`CompileOptions`] value parsed through
     /// [`CompileOptions::parse_cli_flag`] — the same helper the `serve`
-    /// binary uses, so both CLIs expose exactly one flag surface. Every
-    /// knob is bit-identical on the result side.
+    /// binary uses, so both CLIs expose exactly one flag surface.
     pub options: CompileOptions,
     /// Optional baseline `BENCH_sweep.json` to compare wall-clock times
     /// against (`bench_matrix` only).
@@ -483,9 +457,7 @@ pub struct CliArgs {
 /// Parses the common CLI flags of the table binaries:
 /// `--max-components <C>`, `--json <path>`, `--threads <N>`,
 /// `--baseline <path>`, `--scratch-deltas`, plus the shared
-/// [`CompileOptions`] surface (`--compile-threads <N>`,
-/// `--compile-grain <N>`, `--no-complement-edges`,
-/// `--op-cache-capacity <N>`, `--node-budget <N>`, `--deadline-ms <MS>`
+/// [`CompileOptions`] surface (`--node-budget <N>`, `--deadline-ms <MS>`
 /// — see [`CompileOptions::CLI_HELP`]).
 pub fn parse_cli(default_max: usize) -> CliArgs {
     let mut parsed = CliArgs {
@@ -527,48 +499,23 @@ pub fn parse_cli(default_max: usize) -> CliArgs {
 }
 
 /// Whether an anchor JSON field is volatile — wall-clock measurements
-/// and execution-environment knobs that legitimately differ from run to
-/// run and machine to machine. The `par_*` counters (parallel sections,
-/// tasks, steals, shard contention) track the compile-thread resource
-/// knob rather than the analysis, so they are volatile too, as is
-/// `*complement_hits` — a cache-behaviour tally that is only nonzero
-/// with complemented edges on and, like every cache counter, is
-/// scheduling-dependent under parallel compilation. Everything else
-/// (node counts, peaks, truncations, cache statistics, yields) is
-/// gated bit-for-bit.
+/// and the sweep's worker count, which legitimately differ from run to
+/// run and machine to machine. Everything else (node counts, peaks,
+/// truncations, cache statistics, yields) is gated bit-for-bit.
 pub fn is_volatile_anchor_field(name: &str) -> bool {
-    name == "seconds"
-        || name == "threads"
-        || name == "compile_threads"
-        || name.ends_with("_seconds")
-        || name.starts_with("par_")
-        || name.ends_with("complement_hits")
+    name == "seconds" || name == "threads" || name.ends_with("_seconds")
 }
 
-/// Whether an anchor JSON field is an operation-cache counter
-/// (`*_cache_hits`, `*_cache_hit_percent`, …). Deterministic under
-/// sequential compilation — and therefore gated by default — but
-/// scheduling-dependent when `--compile-threads` exceeds 1, because the
-/// concurrent op cache is lossy (racing writers may drop publications,
-/// changing hit/miss/insertion tallies without affecting any result).
-/// The `--volatile-cache-counters` mode of `anchor_check` exempts them
-/// so CI can gate a parallel-compilation run against the sequential
-/// fixture.
-pub fn is_cache_counter_anchor_field(name: &str) -> bool {
-    name.contains("_cache_")
-}
-
-/// Whether an anchor JSON field legitimately *changes* when complemented
-/// edges are toggled: the ROBDD-side node counts (`robdd_size`,
-/// `robdd_peak`, `robdd_unique_entries`, the `robdd_peak_*` aggregates)
-/// — complemented edges share one node between each function and its
-/// negation, so the physical diagram shrinks — plus every cache counter
-/// (the two modes probe different keys). Everything the paper reports
-/// — yields, error bounds, truncations, ROMDD node counts — is
-/// complement-invariant and stays gated bit-for-bit by the
-/// `--complement-invariant` mode of `anchor_check`.
-pub fn is_complement_variant_anchor_field(name: &str) -> bool {
-    name.starts_with("robdd_") || is_cache_counter_anchor_field(name)
+/// Whether an anchor JSON field legitimately differs between an
+/// incremental what-if run and its from-scratch materialization: the
+/// ROBDD-side counters (`robdd_size`, `robdd_peak`, `robdd_*` cache and
+/// aggregate tallies — the retained base manager accumulates nodes
+/// across delta rebuilds), every other operation-cache counter, and the
+/// execution-shape total `chunks` (a delta family runs as one chunk, its
+/// materialization as one chunk per variant). Yields, error bounds,
+/// truncations, ROMDD node counts and point labels are never exempt.
+pub fn is_delta_variant_anchor_field(name: &str) -> bool {
+    name.starts_with("robdd_") || name.contains("_cache_") || name == "chunks"
 }
 
 /// Maximum number of per-field divergences reported by
@@ -585,71 +532,15 @@ const MAX_REPORTED_DIVERGENCES: usize = 20;
 ///
 /// Returns a readable message when either document is not valid JSON.
 pub fn diff_anchor_values(fixture: &str, actual: &str) -> Result<Vec<String>, String> {
-    diff_anchor_values_lax(fixture, actual, false)
+    diff_anchor_values_with(fixture, actual, false)
 }
 
-/// Like [`diff_anchor_values`], but when `volatile_cache_counters` is
-/// set, additionally exempts [cache-counter](is_cache_counter_anchor_field)
-/// fields — the mode CI uses to gate a `--compile-threads 2` run against
-/// the sequential fixture (yields, node counts and truncations stay
-/// gated bit-for-bit; only the lossy concurrent cache's tallies are
-/// excused).
-///
-/// # Errors
-///
-/// Returns a readable message when either document is not valid JSON.
-pub fn diff_anchor_values_lax(
-    fixture: &str,
-    actual: &str,
-    volatile_cache_counters: bool,
-) -> Result<Vec<String>, String> {
-    diff_anchor_values_with(
-        fixture,
-        actual,
-        DiffPolicy {
-            lax_cache: volatile_cache_counters,
-            complement_invariant: false,
-            execution_shape: false,
-        },
-    )
-}
-
-/// Like [`diff_anchor_values`], but compares only
-/// complement-*invariant* fields: the
-/// [complement-variant](is_complement_variant_anchor_field) ROBDD node
-/// counts and all cache counters are exempted, while yields, error
-/// bounds, truncations and ROMDD node counts stay gated bit-for-bit.
-/// This is the `--complement-invariant` mode of `anchor_check`, which
-/// CI uses to gate a `--no-complement-edges` regeneration against the
-/// complement-enabled fixture — proving the toggle is a pure
-/// representation knob.
-///
-/// # Errors
-///
-/// Returns a readable message when either document is not valid JSON.
-pub fn diff_anchor_values_complement_invariant(
-    fixture: &str,
-    actual: &str,
-) -> Result<Vec<String>, String> {
-    diff_anchor_values_with(
-        fixture,
-        actual,
-        DiffPolicy { lax_cache: false, complement_invariant: true, execution_shape: false },
-    )
-}
-
-/// Like [`diff_anchor_values`], but compares only the fields the
-/// incremental delta path must reproduce: on top of the
-/// complement-invariant exemptions (the retained base manager
-/// accumulates nodes across delta rebuilds, so ROBDD peaks and cache
-/// tallies legitimately differ from per-variant fresh compiles), the
-/// execution-shape field `chunks` is exempt — a delta family runs as
-/// one chunk while its from-scratch materialization runs one chunk per
-/// variant. Yields, error bounds, truncations, ROMDD node counts and
-/// the point labels stay gated bit-for-bit. This is the
-/// `--delta-equivalence` mode of `anchor_check`, which CI uses to gate
-/// a `bench_matrix --scratch-deltas` regeneration against the
-/// delta-path fixture.
+/// Like [`diff_anchor_values`], but additionally exempts the
+/// [delta-variant](is_delta_variant_anchor_field) fields, so yields,
+/// error bounds, truncations, ROMDD node counts and the point labels
+/// stay gated bit-for-bit. This is the `--delta-equivalence` mode of
+/// `anchor_check`, which CI uses to gate a `bench_matrix
+/// --scratch-deltas` regeneration against the delta-path fixture.
 ///
 /// # Errors
 ///
@@ -658,46 +549,22 @@ pub fn diff_anchor_values_delta_equivalence(
     fixture: &str,
     actual: &str,
 ) -> Result<Vec<String>, String> {
-    diff_anchor_values_with(
-        fixture,
-        actual,
-        DiffPolicy { lax_cache: false, complement_invariant: true, execution_shape: true },
-    )
-}
-
-/// Field-exemption policy of one anchor comparison (volatile fields are
-/// always exempt).
-#[derive(Clone, Copy)]
-struct DiffPolicy {
-    /// Additionally exempt cache counters (parallel-compilation mode).
-    lax_cache: bool,
-    /// Additionally exempt complement-variant fields (dual-mode gate).
-    complement_invariant: bool,
-    /// Additionally exempt the matrix partitioning shape (`chunks`) —
-    /// the delta-equivalence gate compares a one-chunk delta family
-    /// against its chunk-per-variant materialization.
-    execution_shape: bool,
-}
-
-impl DiffPolicy {
-    fn exempt(self, name: &str) -> bool {
-        is_volatile_anchor_field(name)
-            || (self.lax_cache && is_cache_counter_anchor_field(name))
-            || (self.complement_invariant && is_complement_variant_anchor_field(name))
-            || (self.execution_shape && name == "chunks")
-    }
+    diff_anchor_values_with(fixture, actual, true)
 }
 
 fn diff_anchor_values_with(
     fixture: &str,
     actual: &str,
-    policy: DiffPolicy,
+    delta_equivalence: bool,
 ) -> Result<Vec<String>, String> {
     let fixture =
         serde_json::from_str(fixture).map_err(|e| format!("fixture is malformed: {e}"))?;
     let actual = serde_json::from_str(actual).map_err(|e| format!("actual is malformed: {e}"))?;
+    let exempt = |name: &str| {
+        is_volatile_anchor_field(name) || (delta_equivalence && is_delta_variant_anchor_field(name))
+    };
     let mut diffs = Vec::new();
-    diff_values(&fixture, &actual, "$", policy, &mut diffs);
+    diff_values(&fixture, &actual, "$", &exempt, &mut diffs);
     if diffs.len() > MAX_REPORTED_DIVERGENCES {
         let more = diffs.len() - MAX_REPORTED_DIVERGENCES;
         diffs.truncate(MAX_REPORTED_DIVERGENCES);
@@ -718,7 +585,7 @@ fn diff_values(
     fixture: &serde::Value,
     actual: &serde::Value,
     path: &str,
-    policy: DiffPolicy,
+    exempt: &dyn Fn(&str) -> bool,
     out: &mut Vec<String>,
 ) {
     use serde::Value;
@@ -728,21 +595,21 @@ fn diff_values(
                 out.push(format!("{path}: fixture has {} rows, actual has {}", f.len(), a.len()));
             }
             for (i, (fv, av)) in f.iter().zip(a).enumerate() {
-                diff_values(fv, av, &format!("{path}[{i}]"), policy, out);
+                diff_values(fv, av, &format!("{path}[{i}]"), exempt, out);
             }
         }
         (Value::Object(f), Value::Object(a)) => {
             for (name, fv) in f {
-                if policy.exempt(name) {
+                if exempt(name) {
                     continue;
                 }
                 match a.iter().find(|(n, _)| n == name) {
-                    Some((_, av)) => diff_values(fv, av, &format!("{path}.{name}"), policy, out),
+                    Some((_, av)) => diff_values(fv, av, &format!("{path}.{name}"), exempt, out),
                     None => out.push(format!("{path}.{name}: missing from actual")),
                 }
             }
             for (name, _) in a {
-                if !policy.exempt(name) && !f.iter().any(|(n, _)| n == name) {
+                if !exempt(name) && !f.iter().any(|(n, _)| n == name) {
                     out.push(format!("{path}.{name}: not in fixture"));
                 }
             }
@@ -824,20 +691,6 @@ pub struct BenchSweepPoint {
     /// ROBDD operation-cache evict rate (evictions per insertion) of the
     /// compile, in percent.
     pub robdd_cache_evict_percent: f64,
-    /// ROBDD operation-cache hits obtained through a complemented-edge
-    /// negation normalization (volatile — `0` with complemented edges
-    /// off, scheduling-dependent under parallel compilation).
-    pub robdd_complement_hits: u64,
-    /// Parallel compile sections entered (ROBDD + ROMDD; volatile —
-    /// tracks the `--compile-threads` resource knob).
-    pub par_sections: u64,
-    /// Tasks executed inside parallel compile sections (volatile).
-    pub par_tasks: u64,
-    /// Work-steal events inside parallel compile sections (volatile).
-    pub par_steals: u64,
-    /// Unique-table shard-lock contention events inside parallel compile
-    /// sections (volatile).
-    pub par_shard_contention: u64,
     /// Wall-clock seconds of this point's evaluation (volatile).
     pub seconds: f64,
 }
@@ -867,9 +720,6 @@ pub struct BenchSweepTotals {
     pub robdd_cache_hit_percent: f64,
     /// ROBDD operation-cache evict rate across all compiles, in percent.
     pub robdd_cache_evict_percent: f64,
-    /// ROBDD operation-cache hits obtained through a complemented-edge
-    /// negation normalization across all compiles (volatile).
-    pub robdd_complement_hits: u64,
     /// ROBDD garbage collections across all compiles.
     pub robdd_gc_runs: u64,
     /// ROMDD operation-cache hits across all managers.
@@ -878,16 +728,6 @@ pub struct BenchSweepTotals {
     pub romdd_cache_misses: u64,
     /// ROMDD operation-cache evictions across all managers.
     pub romdd_cache_evictions: u64,
-    /// Parallel compile sections entered across all managers (ROBDD +
-    /// ROMDD; volatile — tracks the `--compile-threads` resource knob).
-    pub par_sections: u64,
-    /// Tasks executed inside parallel compile sections (volatile).
-    pub par_tasks: u64,
-    /// Work-steal events inside parallel compile sections (volatile).
-    pub par_steals: u64,
-    /// Unique-table shard-lock contention events inside parallel compile
-    /// sections (volatile).
-    pub par_shard_contention: u64,
     /// Wall-clock seconds of the whole run (volatile).
     pub wall_seconds: f64,
     /// Sum of the workers' busy seconds (volatile).
@@ -908,10 +748,6 @@ pub struct BenchSweepDoc {
     pub schema: String,
     /// Worker threads used (volatile).
     pub threads: usize,
-    /// Worker threads used *inside* each compilation (volatile — a
-    /// resource knob; every other deterministic field is bit-identical
-    /// at every setting).
-    pub compile_threads: usize,
     /// Per-point measurements, in matrix order.
     pub points: Vec<BenchSweepPoint>,
     /// Aggregates.
@@ -950,12 +786,6 @@ impl BenchSweepDoc {
                     robdd_cache_evictions: report.robdd_stats.op_cache_evictions,
                     robdd_cache_hit_percent: report.robdd_stats.op_cache_hit_rate_percent(),
                     robdd_cache_evict_percent: report.robdd_stats.op_cache_evict_rate_percent(),
-                    robdd_complement_hits: report.robdd_stats.complement_hits,
-                    par_sections: report.robdd_stats.par_sections + report.romdd_stats.par_sections,
-                    par_tasks: report.robdd_stats.par_tasks + report.romdd_stats.par_tasks,
-                    par_steals: report.robdd_stats.par_steals + report.romdd_stats.par_steals,
-                    par_shard_contention: report.robdd_stats.par_shard_contention
-                        + report.romdd_stats.par_shard_contention,
                     seconds: report.total_time.as_secs_f64(),
                 })
             })
@@ -963,7 +793,6 @@ impl BenchSweepDoc {
         Self {
             schema: BENCH_SWEEP_SCHEMA.to_string(),
             threads: summary.threads,
-            compile_threads: summary.compile_threads,
             points,
             totals: BenchSweepTotals {
                 points: summary.points,
@@ -976,16 +805,10 @@ impl BenchSweepDoc {
                 robdd_cache_evictions: summary.robdd.op_cache_evictions,
                 robdd_cache_hit_percent: summary.robdd.cache_hit_percent(),
                 robdd_cache_evict_percent: summary.robdd.cache_evict_percent(),
-                robdd_complement_hits: summary.robdd.complement_hits,
                 robdd_gc_runs: summary.robdd.gc_runs,
                 romdd_cache_hits: summary.romdd.op_cache_hits,
                 romdd_cache_misses: summary.romdd.op_cache_misses,
                 romdd_cache_evictions: summary.romdd.op_cache_evictions,
-                par_sections: summary.robdd.par_sections + summary.romdd.par_sections,
-                par_tasks: summary.robdd.par_tasks + summary.romdd.par_tasks,
-                par_steals: summary.robdd.par_steals + summary.romdd.par_steals,
-                par_shard_contention: summary.robdd.par_shard_contention
-                    + summary.romdd.par_shard_contention,
                 wall_seconds: summary.wall_time.as_secs_f64(),
                 busy_seconds: summary.busy_time.as_secs_f64(),
                 compile_seconds: summary.compile_time.as_secs_f64(),
@@ -1229,33 +1052,31 @@ mod tests {
     fn volatile_anchor_fields() {
         assert!(is_volatile_anchor_field("seconds"));
         assert!(is_volatile_anchor_field("threads"));
-        assert!(is_volatile_anchor_field("compile_threads"));
         assert!(is_volatile_anchor_field("wall_seconds"));
         assert!(is_volatile_anchor_field("compile_seconds"));
-        assert!(is_volatile_anchor_field("par_sections"));
-        assert!(is_volatile_anchor_field("par_tasks"));
-        assert!(is_volatile_anchor_field("par_steals"));
-        assert!(is_volatile_anchor_field("par_shard_contention"));
         assert!(!is_volatile_anchor_field("points"));
         assert!(!is_volatile_anchor_field("yield_lower_bound"));
         assert!(!is_volatile_anchor_field("robdd_peak"));
         // Cache counters are gated strictly by default…
         assert!(!is_volatile_anchor_field("robdd_cache_hits"));
-        assert!(is_cache_counter_anchor_field("robdd_cache_hits"));
-        assert!(is_cache_counter_anchor_field("romdd_cache_hit_percent"));
-        assert!(!is_cache_counter_anchor_field("robdd_size"));
         // The structural diff applies the same volatile set.
         let fixture = "{\n  \"threads\": 4,\n  \"robdd_size\": 9897,\n  \"busy_seconds\": 0.5\n}";
         let rerun = "{\n  \"threads\": 1,\n  \"robdd_size\": 9897,\n  \"busy_seconds\": 9.5\n}";
         assert_eq!(diff_anchors(fixture, rerun), None);
-        // …and exempted only under the lax parallel-compile mode, which
-        // still gates everything else bit-for-bit.
-        let fixture = "{\n  \"robdd_cache_hits\": 120,\n  \"robdd_size\": 9897\n}";
-        let parallel = "{\n  \"robdd_cache_hits\": 118,\n  \"robdd_size\": 9897\n}";
-        assert_eq!(diff_anchor_values_lax(fixture, parallel, true).unwrap(), Vec::<String>::new());
-        assert_eq!(diff_anchor_values_lax(fixture, parallel, false).unwrap().len(), 1);
-        let drifted = "{\n  \"robdd_cache_hits\": 118,\n  \"robdd_size\": 9898\n}";
-        assert_eq!(diff_anchor_values_lax(fixture, drifted, true).unwrap().len(), 1);
+        // …and exempted, with the ROBDD-side counters and the chunk
+        // count, only by the delta-equivalence mode, which still gates
+        // every result field bit-for-bit.
+        assert!(is_delta_variant_anchor_field("robdd_peak"));
+        assert!(is_delta_variant_anchor_field("romdd_cache_hits"));
+        assert!(is_delta_variant_anchor_field("chunks"));
+        assert!(!is_delta_variant_anchor_field("romdd_size"));
+        let fixture = "{\n  \"chunks\": 1,\n  \"robdd_cache_hits\": 120,\n  \"romdd_size\": 71\n}";
+        let scratch = "{\n  \"chunks\": 9,\n  \"robdd_cache_hits\": 118,\n  \"romdd_size\": 71\n}";
+        let delta = diff_anchor_values_delta_equivalence(fixture, scratch).unwrap();
+        assert_eq!(delta, Vec::<String>::new());
+        assert_eq!(diff_anchor_values(fixture, scratch).unwrap().len(), 2);
+        let drifted = "{\n  \"chunks\": 9,\n  \"robdd_cache_hits\": 118,\n  \"romdd_size\": 72\n}";
+        assert_eq!(diff_anchor_values_delta_equivalence(fixture, drifted).unwrap().len(), 1);
     }
 
     #[test]

@@ -199,33 +199,6 @@ struct CompiledModel {
     retained: Option<RetainedRobdd>,
 }
 
-fn new_bdd_manager(num_levels: usize, options: &CompileOptions) -> BddManager {
-    let mut bdd = match options.op_cache_capacity() {
-        0 => BddManager::new(num_levels),
-        cap => BddManager::with_cache_capacity(num_levels, cap, cap),
-    };
-    if !options.complement_edges() {
-        bdd.set_complement(false);
-    }
-    bdd.set_compile_threads(options.compile_threads());
-    if options.compile_grain() > 0 {
-        bdd.set_par_grain(options.compile_grain());
-    }
-    bdd
-}
-
-fn new_mdd_manager(domains: Vec<usize>, options: &CompileOptions) -> MddManager {
-    let mut mdd = match options.op_cache_capacity() {
-        0 => MddManager::new(domains),
-        cap => MddManager::with_cache_capacity(domains, cap, cap),
-    };
-    mdd.set_compile_threads(options.compile_threads());
-    if options.compile_grain() > 0 {
-        mdd.set_par_grain(options.compile_grain());
-    }
-    mdd
-}
-
 impl CompiledModel {
     /// Compiles one configuration under the resource limits of
     /// `options`: a governor (when any limit is set, or a cancellation
@@ -251,7 +224,6 @@ impl CompiledModel {
                 truncation,
                 spec,
                 conversion,
-                options,
                 retain_robdd,
                 governor.as_ref(),
             )
@@ -266,7 +238,6 @@ impl CompiledModel {
         truncation: usize,
         spec: OrderingSpec,
         conversion: ConversionAlgorithm,
-        options: &CompileOptions,
         retain_robdd: bool,
         governor: Option<&Governor>,
     ) -> Result<Self, CoreError> {
@@ -275,7 +246,7 @@ impl CompiledModel {
 
         // Coded ROBDD of G.
         let robdd_start = Instant::now();
-        let mut bdd = new_bdd_manager(g.netlist().num_inputs(), options);
+        let mut bdd = BddManager::new(g.netlist().num_inputs());
         bdd.set_governor(governor.cloned());
         let mut build = bdd.build_netlist(g.netlist(), &ordering.var_level);
 
@@ -310,10 +281,16 @@ impl CompiledModel {
         // ROMDD conversion. Unless retained for incremental delta
         // recompilation, the ROBDD manager is dropped at the end of this
         // function: only its metrics survive, freeing the (typically much
-        // larger) ROBDD arena for the rest of the sweep.
+        // larger) ROBDD arena for the rest of the sweep. The conversion
+        // only reads the ROBDD, so its unique table and op cache (a
+        // quarter to a third of a large compile's peak memory) are freed
+        // before the ROMDD is allocated.
+        if !retain_robdd {
+            bdd.release_lookup_tables();
+        }
         let layout = g.layout(&ordering);
         let conversion_start = Instant::now();
-        let mut mdd = new_mdd_manager(g.mdd_domains(&ordering), options);
+        let mut mdd = MddManager::new(g.mdd_domains(&ordering));
         mdd.set_governor(governor.cloned());
         let romdd_root = match conversion {
             ConversionAlgorithm::TopDown => mdd.from_coded_bdd(&bdd, build.root, &layout),
@@ -454,7 +431,7 @@ impl CompiledModel {
 
             let layout = g.layout(&ordering);
             let conversion_start = Instant::now();
-            let mut mdd = new_mdd_manager(g.mdd_domains(&ordering), options);
+            let mut mdd = MddManager::new(g.mdd_domains(&ordering));
             mdd.set_governor(governor.clone());
             let romdd_root = match conversion {
                 ConversionAlgorithm::TopDown => {
@@ -643,13 +620,12 @@ impl Pipeline {
         Ok(pipeline)
     }
 
-    /// Sets the kernel knobs (compile threads, parallel grain,
-    /// complemented edges, op-cache capacity) every subsequent
-    /// compilation runs under. These are resource/representation knobs,
-    /// not analysis options: every yield, error bound, truncation and
-    /// ROMDD node count is bit-identical at every setting, so they
-    /// deliberately live outside [`AnalysisOptions`] and never
-    /// participate in model reuse keys.
+    /// Sets the resource limits (node budget, deadline, fail point) every
+    /// subsequent compilation runs under. These are resource limits, not
+    /// analysis options: a compilation within its limits produces the
+    /// same yields, error bounds, truncations and node counts at every
+    /// setting, so they deliberately live outside [`AnalysisOptions`] and
+    /// never participate in model reuse keys.
     pub fn set_options(&mut self, options: CompileOptions) {
         self.options = options;
     }
@@ -667,40 +643,6 @@ impl Pipeline {
     /// to detach.
     pub fn set_cancel_token(&mut self, cancel: Option<CancelToken>) {
         self.cancel = cancel;
-    }
-
-    /// Compat shim over [`Pipeline::set_options`] /
-    /// [`CompileOptions::with_compile_threads`].
-    pub fn set_compile_threads(&mut self, threads: usize) {
-        self.options = self.options.with_compile_threads(threads);
-    }
-
-    /// Worker threads used inside a single compilation.
-    pub fn compile_threads(&self) -> usize {
-        self.options.compile_threads()
-    }
-
-    /// Compat shim over [`Pipeline::set_options`] /
-    /// [`CompileOptions::with_compile_grain`].
-    pub fn set_compile_grain(&mut self, grain: usize) {
-        self.options = self.options.with_compile_grain(grain);
-    }
-
-    /// Sequential-grain cutoff of the parallel compile sections
-    /// (`0` = manager default).
-    pub fn compile_grain(&self) -> usize {
-        self.options.compile_grain()
-    }
-
-    /// Compat shim over [`Pipeline::set_options`] /
-    /// [`CompileOptions::with_complement_edges`].
-    pub fn set_complement_edges(&mut self, on: bool) {
-        self.options = self.options.with_complement_edges(on);
-    }
-
-    /// Whether compilations use complemented edges in the ROBDD kernel.
-    pub fn complement_edges(&self) -> bool {
-        self.options.complement_edges()
     }
 
     /// The fault tree this pipeline analyses.

@@ -80,6 +80,8 @@ pub struct OpCache {
     generation: u16,
     /// Entries written under the current generation and not yet evicted.
     live: usize,
+    /// Slot count at construction, restored by [`OpCache::release`].
+    initial_capacity: usize,
     max_capacity: usize,
     hits: u64,
     misses: u64,
@@ -118,6 +120,7 @@ impl OpCache {
             tags: vec![0; capacity],
             generation: 1,
             live: 0,
+            initial_capacity: capacity,
             max_capacity,
             hits: 0,
             misses: 0,
@@ -162,38 +165,6 @@ impl OpCache {
         self.misses += 1;
         self.per_op[op as usize].misses += 1;
         None
-    }
-
-    /// Read-only probe that mutates no counters, usable through a shared
-    /// reference while the cache is frozen (the parallel sections of
-    /// [`crate::par`] consult the pre-section cache this way; hits and
-    /// misses on that path are accounted separately and folded back in
-    /// via [`OpCache::add_external`]).
-    #[inline]
-    pub fn peek(&self, key: OpKey) -> Option<u32> {
-        let (op, a, b, c) = key;
-        debug_assert!((op as usize) < NUM_OP_TAGS, "operation tag {op} out of range");
-        let idx = self.index(op, a, b, c);
-        if self.tags[idx] == self.live_tag(op) {
-            let slot = self.slots[idx];
-            if slot.a == a && slot.b == b && slot.c == c {
-                return Some(slot.result);
-            }
-        }
-        None
-    }
-
-    /// Folds externally accounted lookup/insertion counts into the
-    /// totals. The parallel apply sections run their own session cache
-    /// (plus read-only [`OpCache::peek`]s of this one) and tally traffic
-    /// in worker-local counters; absorbing a session adds them here so
-    /// the aggregate hit/miss statistics still describe the whole
-    /// workload. The per-operation breakdown intentionally stays
-    /// sequential-only.
-    pub fn add_external(&mut self, hits: u64, misses: u64, insertions: u64) {
-        self.hits += hits;
-        self.misses += misses;
-        self.insertions += insertions;
     }
 
     /// Memoizes the result of an operation, evicting whatever live entry
@@ -333,6 +304,16 @@ impl OpCache {
     pub fn clear(&mut self) {
         self.invalidate_all();
     }
+
+    /// Drops all memoized entries and shrinks the table back to its
+    /// initial slot count, freeing what growth allocated. The statistics
+    /// are kept, and the cache stays usable (and may grow again).
+    pub fn release(&mut self) {
+        self.slots = vec![Slot::default(); self.initial_capacity];
+        self.tags = vec![0; self.initial_capacity];
+        self.live = 0;
+        self.evictions_at_resize = self.evictions;
+    }
 }
 
 #[cfg(test)]
@@ -359,17 +340,24 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_stat_free_and_add_external_folds_in() {
-        let mut cache = OpCache::default();
-        cache.insert((0, 2, 3, 0), 7);
-        assert_eq!(cache.peek((0, 2, 3, 0)), Some(7));
-        assert_eq!(cache.peek((1, 2, 3, 0)), None);
-        assert_eq!(cache.hits(), 0, "peek counts nothing");
-        assert_eq!(cache.misses(), 0, "peek counts nothing");
-        cache.add_external(10, 20, 5);
-        assert_eq!(cache.hits(), 10);
-        assert_eq!(cache.misses(), 20);
-        assert_eq!(cache.insertions(), 6);
+    fn release_shrinks_to_the_initial_capacity_and_keeps_stats() {
+        let mut cache = OpCache::with_capacity(8, 64);
+        for i in 0..1000u32 {
+            cache.insert((0, i, i, 0), i);
+        }
+        assert!(cache.capacity() > 8, "conflict pressure grew the table");
+        let (hits, misses, insertions, evictions) =
+            (cache.hits(), cache.misses(), cache.insertions(), cache.evictions());
+        cache.release();
+        assert_eq!(cache.capacity(), 8);
+        assert!(cache.is_empty());
+        assert_eq!(cache.get((0, 999, 999, 0)), None, "released entries are gone");
+        assert_eq!(cache.hits(), hits);
+        assert_eq!(cache.misses(), misses + 1);
+        assert_eq!(cache.insertions(), insertions);
+        assert_eq!(cache.evictions(), evictions);
+        cache.insert((0, 1, 1, 0), 5);
+        assert_eq!(cache.get((0, 1, 1, 0)), Some(5), "a released cache still memoizes");
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use crate::arena::{NodeArena, TERMINAL_LEVEL};
 use crate::cache::{OpCache, OpKey, OpTagStats, NUM_OP_TAGS};
-use crate::edge::{is_complemented, negate, negate_if, strip, CPL_BIT};
 use crate::govern::Governor;
 use crate::unique::UniqueTable;
 
@@ -44,26 +43,6 @@ pub struct DdStats {
     pub gc_runs: u64,
     /// Total nodes reclaimed across all collections.
     pub gc_reclaimed: u64,
-    /// Parallel apply/conversion sections run (see [`crate::par`]). Zero
-    /// whenever the engines compile with one thread, so single-thread
-    /// statistics stay bit-identical to the pre-parallel kernel.
-    pub par_sections: u64,
-    /// Leaf tasks executed by the work-stealing pool across all parallel
-    /// sections. Deterministic for a fixed input (the task tree is built
-    /// before the workers start).
-    pub par_tasks: u64,
-    /// Tasks a pool worker stole from another worker's deque.
-    /// Scheduling-dependent, hence nondeterministic across runs.
-    pub par_steals: u64,
-    /// Times a session unique-table shard lock was observed contended
-    /// (`try_lock` failed and the thread had to wait). Scheduling-
-    /// dependent, hence nondeterministic across runs.
-    pub par_shard_contention: u64,
-    /// Operation-cache hits obtained through complemented-edge negation
-    /// normalization (the memoized result answered the negated form of
-    /// the query and was flipped for free). Zero whenever complement
-    /// mode is off (see [`DdKernel::set_complement`]).
-    pub complement_hits: u64,
 }
 
 impl DdStats {
@@ -178,20 +157,6 @@ pub struct DdKernel {
     peak_snapshot: usize,
     gc_runs: u64,
     gc_reclaimed: u64,
-    /// Counters of the parallel sections absorbed into this kernel (see
-    /// [`crate::par`] and [`DdStats`] for the field meanings).
-    pub(crate) par_sections: u64,
-    pub(crate) par_tasks: u64,
-    pub(crate) par_steals: u64,
-    pub(crate) par_shard_contention: u64,
-    /// Complement-normalized cache hits (see [`DdStats::complement_hits`]).
-    pub(crate) complement_hits: u64,
-    /// Complemented-edge mode: when on, [`DdKernel::mk`] enforces the
-    /// regular-high canonical form of [`crate::edge`] and returns
-    /// complemented edges where that halves the diagram. Only meaningful
-    /// for all-binary kernels (the ROBDD engine); the ROMDD engine leaves
-    /// it off.
-    complement: bool,
     /// Reusable buffers of the memoized probability traversal, so a
     /// design-space sweep evaluating thousands of points on one diagram
     /// allocates nothing per point.
@@ -246,12 +211,6 @@ impl DdKernel {
             peak_snapshot: 0,
             gc_runs: 0,
             gc_reclaimed: 0,
-            par_sections: 0,
-            par_tasks: 0,
-            par_steals: 0,
-            par_shard_contention: 0,
-            complement_hits: 0,
-            complement: false,
             prob: ProbScratch::default(),
             governor: None,
         }
@@ -269,32 +228,6 @@ impl DdKernel {
     /// The currently armed resource governor, if any.
     pub fn governor(&self) -> Option<&Governor> {
         self.governor.as_ref()
-    }
-
-    /// Switches complemented-edge mode on or off. Must be called before
-    /// any non-terminal node exists: flipping the canonical form under
-    /// live nodes would silently break id-equality-is-function-equality.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arena already holds non-terminal nodes, or if any
-    /// level has arity other than 2 while enabling (complement edges are
-    /// a binary-diagram notion).
-    pub fn set_complement(&mut self, on: bool) {
-        assert!(self.arena.len() == 2, "complement mode must be chosen before nodes are created");
-        if on {
-            assert!(
-                (0..self.num_levels()).all(|l| self.arity(l) == 2),
-                "complement edges require an all-binary kernel"
-            );
-        }
-        self.complement = on;
-    }
-
-    /// Whether complemented-edge mode is on (see
-    /// [`DdKernel::set_complement`]).
-    pub fn complement_enabled(&self) -> bool {
-        self.complement
     }
 
     /// Returns (creating if necessary) the canonical node
@@ -318,25 +251,8 @@ impl DdKernel {
         if children.iter().all(|&c| c == children[0]) {
             return children[0];
         }
-        self.cons(level, children)
-    }
-
-    /// Hash-conses `(level, children)` after the redundancy check,
-    /// enforcing the complemented-edge canonical form when the mode is
-    /// on: a node whose high child is complemented or `ZERO` is stored
-    /// with both children negated and returned as a complemented edge
-    /// (see [`crate::edge`]).
-    pub(crate) fn cons(&mut self, level: u32, children: &[u32]) -> u32 {
         let before = self.arena.len();
-        let id = if self.complement
-            && children.len() == 2
-            && (is_complemented(children[1]) || children[1] == ZERO)
-        {
-            let flipped = [negate(children[0]), negate(children[1])];
-            self.unique.get_or_insert(&mut self.arena, level, &flipped) | CPL_BIT
-        } else {
-            self.unique.get_or_insert(&mut self.arena, level, children)
-        };
+        let id = self.unique.get_or_insert(&mut self.arena, level, children);
         // Report to the governor only after the node is fully inserted:
         // an abort unwinding from here leaves the arena and unique table
         // consistent (the node is ordinary garbage for the next gc).
@@ -388,19 +304,14 @@ impl DdKernel {
         self.arena.level(id)
     }
 
-    /// The *stored* children of a node (empty for terminals) — raw edge
-    /// values as they sit in the arena, without the complement parity of
-    /// `id` applied. Structural traversals (marking, counting) want this
-    /// view; semantic cofactors want [`DdKernel::child`].
+    /// The children of a node (empty for terminals).
     pub fn children(&self, id: u32) -> &[u32] {
         self.arena.children(id)
     }
 
-    /// The child followed when the node's variable takes `value`, with
-    /// the complement parity of `id` propagated: the returned edge
-    /// denotes the cofactor of the *function* `id` denotes.
+    /// The child followed when the node's variable takes `value`.
     pub fn child(&self, id: u32, value: usize) -> u32 {
-        negate_if(is_complemented(id), self.arena.child(id, value))
+        self.arena.child(id, value)
     }
 
     /// Looks up a memoized operation result (counted in the statistics).
@@ -413,24 +324,22 @@ impl DdKernel {
         self.op_cache.insert(key, result);
     }
 
-    /// Read-only cache probe that mutates no counters (usable through a
-    /// shared reference; the parallel sections of [`crate::par`] consult
-    /// the frozen pre-section cache this way).
-    pub fn cache_peek(&self, key: OpKey) -> Option<u32> {
-        self.op_cache.peek(key)
-    }
-
-    /// Shared access to the operation cache for the parallel session
-    /// machinery (stats folding at absorb time).
-    pub(crate) fn op_cache_mut(&mut self) -> &mut OpCache {
-        &mut self.op_cache
-    }
-
     /// Drops all memoized operation results (the unique table is kept, so
     /// canonicity is unaffected). With the generation-tagged cache this is
     /// a single tag bump, not a table walk.
     pub fn clear_op_cache(&mut self) {
         self.op_cache.clear();
+    }
+
+    /// Frees the lookup structures only node construction needs — the
+    /// unique table's buckets and the operation cache's slots — keeping
+    /// the arena and every statistic. A diagram that from now on is only
+    /// read (converted, counted, evaluated) then holds little more than
+    /// its arena. Reads are unaffected; the next node construction or
+    /// level swap re-registers every node first, so canonicity holds.
+    pub fn release_lookup_tables(&mut self) {
+        self.unique.release();
+        self.op_cache.release();
     }
 
     /// Current slot count of the operation cache (it may have grown from
@@ -452,11 +361,6 @@ impl DdKernel {
             per_op: *self.op_cache.per_op_stats(),
             gc_runs: self.gc_runs,
             gc_reclaimed: self.gc_reclaimed,
-            par_sections: self.par_sections,
-            par_tasks: self.par_tasks,
-            par_steals: self.par_steals,
-            par_shard_contention: self.par_shard_contention,
-            complement_hits: self.complement_hits,
         }
     }
 
@@ -466,7 +370,7 @@ impl DdKernel {
     /// from it) survives every [`DdKernel::gc`] until the returned handle
     /// is passed to [`DdKernel::unprotect`].
     pub fn protect(&mut self, id: u32) -> Ref {
-        assert!((strip(id) as usize) < self.arena.len(), "cannot protect unknown node {id}");
+        assert!((id as usize) < self.arena.len(), "cannot protect unknown node {id}");
         match self.free_root_slots.pop() {
             Some(slot) => {
                 self.roots[slot as usize] = Some(id);
@@ -520,7 +424,6 @@ impl DdKernel {
         live[ONE as usize] = true;
         let mut stack: Vec<u32> = roots.to_vec();
         while let Some(id) = stack.pop() {
-            let id = strip(id);
             if std::mem::replace(&mut live[id as usize], true) {
                 continue;
             }
@@ -536,7 +439,6 @@ impl DdKernel {
         let mut stack: Vec<u32> = roots.to_vec();
         let mut count = 0usize;
         while let Some(id) = stack.pop() {
-            let id = strip(id);
             if std::mem::replace(&mut seen[id as usize], true) {
                 continue;
             }
@@ -569,9 +471,8 @@ impl DdKernel {
         self.unique.rebuild(&self.arena);
         let dropped = self.op_cache.invalidate_all();
         for slot in self.roots.iter_mut().flatten() {
-            let phys = remap[strip(*slot) as usize];
-            debug_assert_ne!(phys, u32::MAX, "protected roots survive the sweep");
-            *slot = phys | (*slot & CPL_BIT);
+            *slot = remap[*slot as usize];
+            debug_assert_ne!(*slot, u32::MAX, "protected roots survive the sweep");
         }
         self.gc_runs += 1;
         self.gc_reclaimed += (before - after) as u64;
@@ -584,10 +485,7 @@ impl DdKernel {
 
     // ---- shared traversals -------------------------------------------------
 
-    /// All *physical* nodes reachable from `root` (each exactly once,
-    /// complement bits stripped), root first. With complement edges a
-    /// node and its negation share one physical entry, so this is the
-    /// stored-size view — the metric the paper's node counts report.
+    /// All nodes reachable from `root` (each exactly once), root first.
     pub fn reachable(&self, root: u32) -> Vec<u32> {
         // Dense visited bitmap: node ids are arena indices, so a flat
         // Vec<bool> beats any hash set on these traversals.
@@ -595,7 +493,6 @@ impl DdKernel {
         let mut order = Vec::new();
         let mut stack = vec![root];
         while let Some(id) = stack.pop() {
-            let id = strip(id);
             if std::mem::replace(&mut seen[id as usize], true) {
                 continue;
             }
@@ -616,29 +513,6 @@ impl DdKernel {
         self.reachable(root).iter().filter(|&&id| id > ONE).count()
     }
 
-    /// Number of distinct nodes reachable from the union of `roots`,
-    /// but stopping as soon as the count reaches `cap`. The parallel
-    /// engines use this to decide whether an operand set is large enough
-    /// to be worth a parallel section without paying a full traversal on
-    /// small diagrams.
-    pub fn node_count_capped(&self, roots: &[u32], cap: usize) -> usize {
-        let mut seen = vec![false; self.arena.len()];
-        let mut stack: Vec<u32> = roots.to_vec();
-        let mut count = 0usize;
-        while let Some(id) = stack.pop() {
-            let id = strip(id);
-            if std::mem::replace(&mut seen[id as usize], true) {
-                continue;
-            }
-            count += 1;
-            if count >= cap {
-                return count;
-            }
-            stack.extend_from_slice(self.arena.children(id));
-        }
-        count
-    }
-
     /// The set of variable levels appearing in `root`, in increasing
     /// order.
     pub fn support(&self, root: u32) -> Vec<usize> {
@@ -657,9 +531,7 @@ impl DdKernel {
         while cur > ONE {
             let level = self.arena.raw_level(cur) as usize;
             debug_assert_ne!(self.arena.raw_level(cur), TERMINAL_LEVEL);
-            // Propagate the edge's complement parity into the cofactor;
-            // terminals normalize exactly, so the loop test stays `> ONE`.
-            cur = negate_if(is_complemented(cur), self.arena.child(cur, pick(level)));
+            cur = self.arena.child(cur, pick(level));
         }
         cur == ONE
     }
@@ -697,11 +569,8 @@ impl DdKernel {
             scratch.values.resize(n, 0.0);
             scratch.stamp.resize(n, 0);
         }
-        // Memoization is per *physical* node: the value stored is the
-        // probability of the stored (uncomplemented) function, and each
-        // complemented edge crossed contributes `1 - p` on the way out.
         scratch.stack.clear();
-        scratch.stack.push(strip(root));
+        scratch.stack.push(root);
         while let Some(&node) = scratch.stack.last() {
             if scratch.stamp[node as usize] == epoch {
                 scratch.stack.pop();
@@ -711,12 +580,11 @@ impl DdKernel {
             let children = self.arena.children(node);
             let before = scratch.stack.len();
             for (value, &child) in children.iter().enumerate() {
-                let phys = strip(child);
-                if phys > ONE
-                    && scratch.stamp[phys as usize] != epoch
+                if child > ONE
+                    && scratch.stamp[child as usize] != epoch
                     && weight(level, value) != 0.0
                 {
-                    scratch.stack.push(phys);
+                    scratch.stack.push(child);
                 }
             }
             if scratch.stack.len() > before {
@@ -732,26 +600,14 @@ impl DdKernel {
                 let pv = match child {
                     ONE => 1.0,
                     ZERO => 0.0,
-                    _ => {
-                        let stored = scratch.values[strip(child) as usize];
-                        if is_complemented(child) {
-                            1.0 - stored
-                        } else {
-                            stored
-                        }
-                    }
+                    _ => scratch.values[child as usize],
                 };
                 p += w * pv;
             }
             scratch.values[node as usize] = p;
             scratch.stamp[node as usize] = epoch;
         }
-        let p = scratch.values[strip(root) as usize];
-        if is_complemented(root) {
-            1.0 - p
-        } else {
-            p
-        }
+        scratch.values[root as usize]
     }
 }
 
@@ -840,6 +696,37 @@ mod tests {
         dd.add_levels([4]);
         assert_eq!(dd.num_levels(), 2);
         let _ = dd.mk(1, &[ZERO, ONE, ONE, ZERO]);
+    }
+
+    #[test]
+    fn released_lookup_tables_keep_reads_stats_and_canonicity() {
+        let mut dd = DdKernel::new(vec![2, 2, 2]);
+        let c = dd.mk(2, &[ZERO, ONE]);
+        let b = dd.mk(1, &[c, ONE]);
+        let f = dd.mk(0, &[b, c]);
+        dd.cache_insert((0, b, c, 0), f);
+        let _ = dd.cache_get((0, b, c, 0));
+        let expected: Vec<bool> = (0..8).map(|row| dd.eval(f, |l| (row >> l) & 1)).collect();
+        let stats = dd.stats();
+
+        dd.release_lookup_tables();
+        assert_eq!(dd.stats(), stats, "a release changes no statistic");
+        assert_eq!(dd.children(f), &[b, c]);
+        assert_eq!(dd.node_count(f), 5);
+        assert_eq!(dd.cache_get((0, b, c, 0)), None, "memoized results are dropped");
+
+        // Construction after a release finds the existing nodes.
+        assert_eq!(dd.mk(1, &[c, ONE]), b);
+        assert_eq!(dd.mk(0, &[b, c]), f);
+        assert_eq!(dd.allocated_nodes(), 5);
+        assert_eq!(dd.stats().unique_entries, 3);
+
+        // So does a level swap.
+        dd.release_lookup_tables();
+        dd.swap_adjacent_levels(0);
+        let swapped: Vec<bool> =
+            (0..8).map(|row| dd.eval(f, |l| (row >> [1, 0, 2][l]) & 1)).collect();
+        assert_eq!(swapped, expected);
     }
 
     #[test]

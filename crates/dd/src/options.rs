@@ -1,104 +1,41 @@
-//! The unified kernel-knob surface: [`CompileOptions`].
+//! The unified resource-knob surface: [`CompileOptions`].
 //!
 //! Every layer that compiles decision diagrams — `CompiledModel` and
 //! `Pipeline` in `soc-yield-core`, `SweepMatrix` in `socy-exec`,
-//! `ServiceConfig` in `socy-serve`, the bench/serve CLIs — used to mirror
-//! the same per-knob fields (`compile_threads`, `compile_grain`,
-//! `complement_edges`) and setters. [`CompileOptions`] is the single
-//! source of truth for those knobs now: one value is built at the edge
-//! (CLI flags, wire requests, test setup) and carried down the stack
+//! `ServiceConfig` in `socy-serve`, the bench/serve CLIs — takes its
+//! compilation limits from one [`CompileOptions`] value, built at the
+//! edge (CLI flags, wire requests, test setup) and carried down the stack
 //! unchanged.
 //!
-//! Every knob here is a *resource or representation* choice, never an
-//! analysis option: yields, error bounds, truncations and ROMDD node
-//! counts are bit-identical at every setting, which is why none of these
-//! participate in model-reuse or cache keys.
+//! Every knob here is a *resource* limit, never an analysis option: a
+//! compilation that stays within its limits produces the same yields,
+//! error bounds, truncations and node counts at every setting, which is
+//! why none of these participate in model-reuse or cache keys.
 
-/// Knobs of a decision-diagram compilation, carried as one value through
-/// the pipeline/executor/service layers.
+/// Resource limits of a decision-diagram compilation, carried as one
+/// value through the pipeline/executor/service layers.
 ///
 /// Built with builder-style `with_*` constructors:
 ///
 /// ```
 /// use socy_dd::CompileOptions;
 ///
-/// let options = CompileOptions::new().with_compile_threads(4).with_complement_edges(false);
-/// assert_eq!(options.compile_threads(), 4);
-/// assert!(!options.complement_edges());
+/// let options = CompileOptions::new().with_node_budget(1 << 20).with_deadline_ms(500);
+/// assert_eq!(options.node_budget(), 1 << 20);
+/// assert_eq!(options.deadline_ms(), 500);
 /// assert_eq!(CompileOptions::default(), CompileOptions::new());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct CompileOptions {
-    compile_threads: usize,
-    compile_grain: usize,
-    complement_edges: bool,
-    op_cache_capacity: usize,
     node_budget: usize,
     deadline_ms: u64,
     fail_after: u64,
 }
 
-impl Default for CompileOptions {
-    fn default() -> Self {
-        Self {
-            compile_threads: 1,
-            compile_grain: 0,
-            complement_edges: true,
-            op_cache_capacity: 0,
-            node_budget: 0,
-            deadline_ms: 0,
-            fail_after: 0,
-        }
-    }
-}
-
 impl CompileOptions {
-    /// The default options: sequential compilation, manager-default
-    /// parallel grain and op-cache capacity, complemented edges on.
+    /// The default options: no node budget, no deadline, no fail point.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the number of worker threads used *inside* a single
-    /// compilation (the apply/ITE calls building the coded ROBDD and the
-    /// ROBDD → ROMDD conversion). Values are clamped to ≥ 1; `1` keeps
-    /// compilation fully sequential. Results are bit-identical at every
-    /// setting.
-    #[must_use]
-    pub fn with_compile_threads(mut self, threads: usize) -> Self {
-        self.compile_threads = threads.max(1);
-        self
-    }
-
-    /// Sets the sequential-grain cutoff of the parallel compile sections:
-    /// an apply/conversion only fans out across the compile threads when
-    /// its operands hold at least this many nodes. `0` (the default)
-    /// keeps the managers' built-in grain; tests lower it to exercise the
-    /// parallel paths on small diagrams.
-    #[must_use]
-    pub fn with_compile_grain(mut self, grain: usize) -> Self {
-        self.compile_grain = grain;
-        self
-    }
-
-    /// Enables or disables complemented (negative) edges in the ROBDD
-    /// kernel. A pure representation knob: yields, error bounds,
-    /// truncations and ROMDD node counts are bit-identical in both
-    /// modes; only the ROBDD-side node counts and cache statistics
-    /// differ. Defaults to `true`.
-    #[must_use]
-    pub fn with_complement_edges(mut self, on: bool) -> Self {
-        self.complement_edges = on;
-        self
-    }
-
-    /// Pins the operation-cache capacity (slots, rounded to a power of
-    /// two) of the managers created for a compilation. `0` (the default)
-    /// keeps the managers' adaptive default capacity.
-    #[must_use]
-    pub fn with_op_cache_capacity(mut self, slots: usize) -> Self {
-        self.op_cache_capacity = slots;
-        self
     }
 
     /// Caps the nodes a single governed compilation may materialise
@@ -107,8 +44,6 @@ impl CompileOptions {
     /// compilation with a typed `BudgetExceeded` error — never a panic or
     /// an allocation failure — and callers degrade or answer with
     /// Monte-Carlo bounds (see the `soc-yield-core` degradation ladder).
-    /// Unlike the other knobs this one is *not* representation-neutral:
-    /// it decides whether a compilation completes at all.
     #[must_use]
     pub fn with_node_budget(mut self, nodes: usize) -> Self {
         self.node_budget = nodes;
@@ -135,27 +70,6 @@ impl CompileOptions {
         self
     }
 
-    /// Worker threads used inside a single compilation (≥ 1).
-    pub fn compile_threads(&self) -> usize {
-        self.compile_threads
-    }
-
-    /// Sequential-grain cutoff of the parallel compile sections
-    /// (`0` = manager default).
-    pub fn compile_grain(&self) -> usize {
-        self.compile_grain
-    }
-
-    /// Whether compilations use complemented edges in the ROBDD kernel.
-    pub fn complement_edges(&self) -> bool {
-        self.complement_edges
-    }
-
-    /// Pinned op-cache capacity in slots (`0` = manager default).
-    pub fn op_cache_capacity(&self) -> usize {
-        self.op_cache_capacity
-    }
-
     /// Node budget of a single compilation (`0` = unbounded).
     pub fn node_budget(&self) -> usize {
         self.node_budget
@@ -172,21 +86,27 @@ impl CompileOptions {
         self.fail_after
     }
 
+    /// Always `1`. Kept only for the frozen benchmark replica under
+    /// `perfbench/`, which still reads it; compilation is always
+    /// sequential, so it changes no answer.
+    #[doc(hidden)]
+    pub fn compile_threads(&self) -> usize {
+        1
+    }
+
+    /// Always `false`. Kept only for the frozen benchmark replica under
+    /// `perfbench/`, which still reads it; every diagram uses plain
+    /// edges, so it changes no answer.
+    #[doc(hidden)]
+    pub fn complement_edges(&self) -> bool {
+        false
+    }
+
     /// The shared CLI flag surface. Both `socy-bench`'s `parse_cli` and
     /// the `serve` binary feed their argument loops through this single
     /// helper, so a future knob is added (and documented) in exactly one
     /// place.
     pub const CLI_HELP: &'static str = "\
-  --compile-threads N  worker threads inside each compilation (default 1;
-                       results are bit-identical at every setting)
-  --compile-grain N    sequential-grain cutoff of the parallel compile
-                       sections (0 = manager default)
-  --no-complement-edges
-                       disable complemented edges in the ROBDD kernel
-                       (yields and ROMDD sizes are bit-identical either way)
-  --op-cache-capacity N
-                       pin the managers' operation-cache capacity in slots
-                       (0 = adaptive default)
   --node-budget N      cap the nodes one compilation may materialise
                        (0 = unbounded); over-budget compilations degrade
                        to Monte-Carlo bounds instead of erroring
@@ -204,12 +124,10 @@ impl CompileOptions {
     /// use socy_dd::CompileOptions;
     ///
     /// let mut options = CompileOptions::new();
-    /// let mut rest = vec!["4".to_string()].into_iter();
-    /// assert_eq!(options.parse_cli_flag("--compile-threads", &mut rest), Ok(true));
-    /// assert_eq!(options.parse_cli_flag("--no-complement-edges", &mut rest), Ok(true));
+    /// let mut rest = vec!["4096".to_string()].into_iter();
+    /// assert_eq!(options.parse_cli_flag("--node-budget", &mut rest), Ok(true));
     /// assert_eq!(options.parse_cli_flag("--json", &mut rest), Ok(false));
-    /// assert_eq!(options.compile_threads(), 4);
-    /// assert!(!options.complement_edges());
+    /// assert_eq!(options.node_budget(), 4096);
     /// ```
     pub fn parse_cli_flag(
         &mut self,
@@ -222,14 +140,6 @@ impl CompileOptions {
                 .ok_or_else(|| format!("{flag} requires an integer"))
         };
         match arg {
-            "--compile-threads" => {
-                *self = self.with_compile_threads(integer("--compile-threads")?);
-            }
-            "--compile-grain" => *self = self.with_compile_grain(integer("--compile-grain")?),
-            "--no-complement-edges" => *self = self.with_complement_edges(false),
-            "--op-cache-capacity" => {
-                *self = self.with_op_cache_capacity(integer("--op-cache-capacity")?);
-            }
             "--node-budget" => *self = self.with_node_budget(integer("--node-budget")?),
             "--deadline-ms" => {
                 *self = self.with_deadline_ms(integer("--deadline-ms")? as u64);
@@ -247,63 +157,32 @@ mod tests {
     #[test]
     fn builders_and_getters_round_trip() {
         let options = CompileOptions::new()
-            .with_compile_threads(8)
-            .with_compile_grain(32)
-            .with_complement_edges(false)
-            .with_op_cache_capacity(1 << 12)
             .with_node_budget(1 << 20)
             .with_deadline_ms(250)
             .with_fail_after(17);
-        assert_eq!(options.compile_threads(), 8);
-        assert_eq!(options.compile_grain(), 32);
-        assert!(!options.complement_edges());
-        assert_eq!(options.op_cache_capacity(), 1 << 12);
         assert_eq!(options.node_budget(), 1 << 20);
         assert_eq!(options.deadline_ms(), 250);
         assert_eq!(options.fail_after(), 17);
-        // Threads are clamped to >= 1, matching the old setters.
-        assert_eq!(CompileOptions::new().with_compile_threads(0).compile_threads(), 1);
     }
 
     #[test]
     fn cli_flags_cover_every_knob() {
         let mut options = CompileOptions::new();
-        let argv = [
-            "--compile-threads",
-            "4",
-            "--compile-grain",
-            "2",
-            "--no-complement-edges",
-            "--op-cache-capacity",
-            "64",
-            "--node-budget",
-            "4096",
-            "--deadline-ms",
-            "1500",
-        ];
+        let argv = ["--node-budget", "4096", "--deadline-ms", "1500"];
         let mut args = argv.iter().map(ToString::to_string);
         while let Some(arg) = args.next() {
             assert_eq!(options.parse_cli_flag(&arg, &mut args), Ok(true), "{arg}");
         }
-        assert_eq!(
-            options,
-            CompileOptions::new()
-                .with_compile_threads(4)
-                .with_compile_grain(2)
-                .with_complement_edges(false)
-                .with_op_cache_capacity(64)
-                .with_node_budget(4096)
-                .with_deadline_ms(1500)
-        );
+        assert_eq!(options, CompileOptions::new().with_node_budget(4096).with_deadline_ms(1500));
     }
 
     #[test]
     fn cli_errors_and_unknown_flags() {
         let mut options = CompileOptions::new();
         let mut empty = Vec::<String>::new().into_iter();
-        assert!(options.parse_cli_flag("--compile-threads", &mut empty).is_err());
+        assert!(options.parse_cli_flag("--node-budget", &mut empty).is_err());
         let mut junk = vec!["abc".to_string()].into_iter();
-        assert!(options.parse_cli_flag("--compile-grain", &mut junk).is_err());
+        assert!(options.parse_cli_flag("--deadline-ms", &mut junk).is_err());
         let mut none = Vec::<String>::new().into_iter();
         assert_eq!(options.parse_cli_flag("--threads", &mut none), Ok(false));
         assert_eq!(options, CompileOptions::new(), "failed parses leave the options unchanged");

@@ -139,33 +139,6 @@ impl SubTable {
         }
     }
 
-    /// Read-only probe: the node with these children, if present. Uses
-    /// the Robin Hood invariant for early exit on a miss, so a frozen
-    /// table can be probed lock-free from many threads (see
-    /// [`crate::par`]).
-    fn find(&self, arena: &NodeArena, children: &[u32]) -> Option<u32> {
-        let mask = self.buckets.len() - 1;
-        let hash = hash_children(children);
-        let mut idx = hash as usize & mask;
-        let mut dib = 0usize;
-        loop {
-            let bucket = self.buckets[idx];
-            if bucket.id == EMPTY {
-                return None;
-            }
-            if bucket.hash == hash && arena.children(bucket.id) == children {
-                return Some(bucket.id);
-            }
-            if idx.wrapping_sub(bucket.hash as usize) & mask < dib {
-                // Robin Hood invariant: an equal key cannot lie further
-                // along the chain than an occupant closer to home.
-                return None;
-            }
-            idx = (idx + 1) & mask;
-            dib += 1;
-        }
-    }
-
     /// Inserts `id` under the key `children`; the key must not be
     /// present.
     fn insert_new(&mut self, id: u32, children: &[u32]) {
@@ -225,6 +198,9 @@ impl SubTable {
 pub struct UniqueTable {
     tables: Vec<SubTable>,
     len: usize,
+    /// Set by [`UniqueTable::release`]: the buckets are freed and the
+    /// next insertion re-registers the arena's nodes first.
+    released: bool,
 }
 
 impl UniqueTable {
@@ -253,19 +229,11 @@ impl UniqueTable {
     /// Returns the canonical node `(level, children)`, creating it in
     /// `arena` if no equal node exists yet.
     pub fn get_or_insert(&mut self, arena: &mut NodeArena, level: u32, children: &[u32]) -> u32 {
+        self.ensure_registered(arena);
         let before = self.table(level).len;
         let id = self.tables[level as usize].get_or_insert(arena, level, children);
         self.len += self.tables[level as usize].len - before;
         id
-    }
-
-    /// Read-only probe for the canonical node `(level, children)`,
-    /// without creating anything. Safe to call concurrently from many
-    /// threads through a shared reference while the table is frozen —
-    /// this is the lock-free hit fast path of the parallel sections in
-    /// [`crate::par`].
-    pub fn find(&self, arena: &NodeArena, level: u32, children: &[u32]) -> Option<u32> {
-        self.tables.get(level as usize)?.find(arena, children)
     }
 
     /// Inserts a node under its *current* arena key. The key must not be
@@ -293,6 +261,7 @@ impl UniqueTable {
     /// order; includes nodes that are garbage until the next collection,
     /// exactly like the arena itself).
     pub(crate) fn level_ids(&self, level: usize) -> impl Iterator<Item = u32> + '_ {
+        debug_assert!(!self.released, "re-register the nodes before enumerating a level");
         self.tables
             .get(level)
             .map(|t| t.buckets.iter().map(|b| b.id).filter(|&id| id != EMPTY))
@@ -309,6 +278,23 @@ impl UniqueTable {
             self.tables.resize_with(l + 2, SubTable::default);
         }
         self.tables.swap(l, l + 1);
+    }
+
+    /// Frees every bucket of a table whose arena is only read from now
+    /// on. [`UniqueTable::len`] keeps counting the arena's nodes, and the
+    /// next insertion re-registers them all first, so canonicity survives
+    /// a release.
+    pub fn release(&mut self) {
+        self.tables = Vec::new();
+        self.released = true;
+    }
+
+    /// Re-registers the nodes of `arena` if the table was released.
+    #[inline]
+    pub(crate) fn ensure_registered(&mut self, arena: &NodeArena) {
+        if self.released {
+            self.rebuild(arena);
+        }
     }
 
     /// Discards the table and re-registers every non-terminal node of
@@ -329,6 +315,7 @@ impl UniqueTable {
             SubTable { buckets: vec![FREE; size], len: 0 }
         }));
         self.len = 0;
+        self.released = false;
         for id in 2..arena.len() as u32 {
             self.insert_new(arena, id);
         }
@@ -356,6 +343,22 @@ mod tests {
         let d = table.get_or_insert(&mut arena, 0, &[0, 1]);
         assert_ne!(a, d);
         assert_eq!(table.len(), 3);
+    }
+
+    #[test]
+    fn a_released_table_keeps_its_count_and_stays_canonical() {
+        let mut arena = NodeArena::new(vec![2; 8]);
+        let mut table = UniqueTable::default();
+        let ids: Vec<u32> =
+            (0..8u32).map(|i| table.get_or_insert(&mut arena, i, &[i % 2, 1 - i % 2])).collect();
+        table.release();
+        assert_eq!(table.len(), 8, "the count survives a release");
+        for (i, &id) in ids.iter().enumerate() {
+            let i = i as u32;
+            assert_eq!(table.get_or_insert(&mut arena, i, &[i % 2, 1 - i % 2]), id);
+        }
+        assert_eq!(arena.len(), 10, "no duplicate was created");
+        assert_eq!(table.len(), 8);
     }
 
     #[test]
@@ -420,22 +423,6 @@ mod tests {
             assert_eq!(table.get_or_insert(&mut arena, i % 4096, &[i % 2, 1 - i % 2]), id);
         }
         assert_eq!(table.len(), arena.len() - 2);
-    }
-
-    #[test]
-    fn find_matches_get_or_insert_without_creating() {
-        let mut arena = NodeArena::new(vec![2; 64]);
-        let mut table = UniqueTable::default();
-        let ids: Vec<u32> =
-            (0..64u32).map(|i| table.get_or_insert(&mut arena, i, &[i % 2, 1 - i % 2])).collect();
-        let before = arena.len();
-        for (i, &id) in ids.iter().enumerate() {
-            let i = i as u32;
-            assert_eq!(table.find(&arena, i, &[i % 2, 1 - i % 2]), Some(id));
-            assert_eq!(table.find(&arena, i, &[1 - i % 2, i % 2]), None, "absent key");
-        }
-        assert_eq!(table.find(&arena, 999, &[0, 1]), None, "unknown level");
-        assert_eq!(arena.len(), before, "find never allocates");
     }
 
     #[test]

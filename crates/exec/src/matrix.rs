@@ -247,14 +247,10 @@ impl fmt::Display for PointLabels {
 pub struct SweepMatrix {
     /// The blocks, expanded in insertion order.
     pub blocks: Vec<SweepBlock>,
-    /// The kernel knobs (compile threads, parallel grain, complemented
-    /// edges, op-cache capacity) every chunk's compilation runs under —
-    /// one [`CompileOptions`] value instead of mirrored per-knob fields.
-    /// Resource/representation knobs, never an analysis axis: yields,
-    /// error bounds, truncations and ROMDD node counts are bit-identical
-    /// at every setting. Orthogonal to the sweep's worker count.
+    /// The resource limits every chunk's compilation runs under, never an
+    /// analysis axis. Orthogonal to the sweep's worker count.
     ///
-    /// The resource limits ([`CompileOptions::node_budget`] /
+    /// The limits ([`CompileOptions::node_budget`] /
     /// [`CompileOptions::deadline_ms`]) apply **per chunk compilation**
     /// (each chunk owns a private pipeline and every compile runs under a
     /// fresh governor), so one over-budget configuration fails its own

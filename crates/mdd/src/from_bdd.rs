@@ -15,7 +15,7 @@
 //! ROMDD node — the memoization key is just the ROBDD node id.
 
 use socy_bdd::{BddId, BddManager};
-use socy_dd::DdCtx;
+use socy_dd::DdKernel;
 
 use crate::coded::CodedLayout;
 use crate::manager::{MddId, MddManager};
@@ -24,26 +24,9 @@ use crate::manager::{MddId, MddManager};
 /// are arena indices, so `u32::MAX` can never be a real ROMDD id.
 const UNSET: u32 = u32::MAX;
 
-/// Operation tag of conversion results in a parallel section's cache
-/// (tags 0–3 are the connectives, 4 is ITE in the ROBDD engine). Keyed
-/// on the *ROBDD* edge value — the node id including any complement
-/// bit, since `f` and `¬f` convert to different ROMDD nodes — which the
-/// layering requirement makes sound; only used inside one conversion's
-/// session cache, never the kernel's.
-pub(crate) const OP_CONV: u8 = 5;
-
-/// Index of a coded-ROBDD edge in the dense conversion memo: with
-/// complemented edges one physical node can be reached under both
-/// parities and converts to two different ROMDD nodes, so the memo holds
-/// two slots per physical node — `(strip(id) << 1) | parity`.
-#[inline]
-fn memo_index(raw_edge: u32) -> usize {
-    ((socy_dd::strip(raw_edge) as usize) << 1) | usize::from(socy_dd::is_complemented(raw_edge))
-}
-
 /// Precomputed codeword assignments: `assignments[mv][value]` is the
 /// sorted `(bit_level, bit)` list encoding `value` for group `mv`.
-pub(crate) type GroupAssignments = Vec<Vec<Vec<(usize, bool)>>>;
+type GroupAssignments = Vec<Vec<Vec<(usize, bool)>>>;
 
 /// One unit of work of the iterative converter: `Visit` resolves a coded
 /// ROBDD node into the memo; `Build` fires once every node reached below
@@ -102,23 +85,9 @@ impl MddManager {
         let assignments: GroupAssignments = (0..layout.num_vars())
             .map(|mv| (0..layout.vars[mv].domain).map(|v| layout.assignment_for(mv, v)).collect())
             .collect();
-        if self.compile_threads > 1 {
-            if let Some(r) = crate::par::try_par_convert(self, bdd, root, &assignments, &mv_of_bit)
-            {
-                return MddId(r);
-            }
-        }
         let mut scratch = std::mem::take(&mut self.conv);
         scratch.prepare(bdd);
-        let result = convert_with_ctx(
-            &mut self.dd,
-            bdd,
-            root,
-            &assignments,
-            &mv_of_bit,
-            &mut scratch,
-            false,
-        );
+        let result = convert(&mut self.dd, bdd, root, &assignments, &mv_of_bit, &mut scratch);
         self.conv = scratch;
         MddId(result)
     }
@@ -126,48 +95,32 @@ impl MddManager {
 
 impl ConvScratch {
     /// Resets the memo for a fresh conversion out of `bdd` (terminals
-    /// pre-seeded, everything else unconverted). Two slots per physical
-    /// ROBDD node — one per complement parity (see [`memo_index`]).
-    pub(crate) fn prepare(&mut self, bdd: &BddManager) {
+    /// pre-seeded, everything else unconverted).
+    fn prepare(&mut self, bdd: &BddManager) {
         self.memo.clear();
-        self.memo.resize(2 * bdd.allocated_nodes(), UNSET);
-        self.memo[memo_index(BddId::ZERO.index() as u32)] = socy_dd::ZERO;
-        self.memo[memo_index(BddId::ONE.index() as u32)] = socy_dd::ONE;
+        self.memo.resize(bdd.allocated_nodes(), UNSET);
+        self.memo[BddId::ZERO.index()] = socy_dd::ZERO;
+        self.memo[BddId::ONE.index()] = socy_dd::ONE;
     }
 }
 
-/// The iterative top-down converter, generic over the kernel view: the
-/// sequential kernel, or a parallel section's worker handle — there it
-/// acts as the leaf executor, with `use_cache` sharing converted
-/// subtrees across workers through the section's lossy cache (keyed
-/// [`OP_CONV`] on the ROBDD node id).
-///
-/// `scratch.memo` must be prepared for `bdd` (see [`ConvScratch::prepare`])
-/// and is *kept* across calls — a worker converts many subtrees against
-/// one memo.
-pub(crate) fn convert_with_ctx<C: DdCtx>(
-    ctx: &mut C,
+/// The iterative top-down converter. `scratch.memo` must be prepared for
+/// `bdd` (see [`ConvScratch::prepare`]).
+fn convert(
+    dd: &mut DdKernel,
     bdd: &BddManager,
     root: BddId,
     assignments: &GroupAssignments,
     mv_of_bit: &[Option<usize>],
     scratch: &mut ConvScratch,
-    use_cache: bool,
 ) -> u32 {
     debug_assert!(scratch.frames.is_empty() && scratch.below.is_empty());
     scratch.frames.push(ConvFrame::Visit(root));
     while let Some(frame) = scratch.frames.pop() {
         match frame {
             ConvFrame::Visit(node) => {
-                if scratch.memo[memo_index(node.index() as u32)] != UNSET {
+                if scratch.memo[node.index()] != UNSET {
                     continue;
-                }
-                if use_cache {
-                    let id = node.index() as u32;
-                    if let Some(r) = ctx.cache_get((OP_CONV, id, id, 0)) {
-                        scratch.memo[memo_index(id)] = r;
-                        continue;
-                    }
                 }
                 let bit_level = bdd.level(node).expect("non-terminal");
                 let mv = mv_of_bit.get(bit_level).copied().flatten().unwrap_or_else(|| {
@@ -178,7 +131,7 @@ pub(crate) fn convert_with_ctx<C: DdCtx>(
                 for assignment in &assignments[mv] {
                     let below = follow_code(bdd, node, assignment);
                     scratch.below.push(below.index() as u32);
-                    if scratch.memo[memo_index(below.index() as u32)] == UNSET {
+                    if scratch.memo[below.index()] == UNSET {
                         scratch.frames.push(ConvFrame::Visit(below));
                     }
                 }
@@ -186,21 +139,16 @@ pub(crate) fn convert_with_ctx<C: DdCtx>(
             ConvFrame::Build { node, mv, start } => {
                 scratch.children.clear();
                 for &below in &scratch.below[start as usize..] {
-                    let converted = scratch.memo[memo_index(below)];
+                    let converted = scratch.memo[below as usize];
                     debug_assert_ne!(converted, UNSET, "children are converted before parents");
                     scratch.children.push(converted);
                 }
                 scratch.below.truncate(start as usize);
-                let result = ctx.mk(mv, &scratch.children);
-                if use_cache {
-                    let id = node.index() as u32;
-                    ctx.cache_insert((OP_CONV, id, id, 0), result);
-                }
-                scratch.memo[memo_index(node.index() as u32)] = result;
+                scratch.memo[node.index()] = dd.mk(mv, &scratch.children);
             }
         }
     }
-    scratch.memo[memo_index(root.index() as u32)]
+    scratch.memo[root.index()]
 }
 
 /// Walks down from `node` assigning the group bits given by `assignment`

@@ -181,25 +181,16 @@ pub struct GovernorBody {
 /// [`soc_yield_core::CompileOptions`].
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct OptionsBody {
-    /// Worker threads inside each compilation.
-    pub compile_threads: usize,
-    /// Sequential-grain cutoff of the parallel compile sections
-    /// (`0` = manager default).
-    pub compile_grain: usize,
-    /// Whether compilations use complemented edges in the ROBDD kernel.
-    pub complement_edges: bool,
-    /// Pinned op-cache capacity in slots (`0` = manager default).
-    pub op_cache_capacity: usize,
+    /// Node budget of each governed compilation (`0` = unbounded).
+    pub node_budget: usize,
+    /// Wall-clock deadline of each compilation in milliseconds
+    /// (`0` = none).
+    pub deadline_ms: u64,
 }
 
 impl From<soc_yield_core::CompileOptions> for OptionsBody {
     fn from(options: soc_yield_core::CompileOptions) -> Self {
-        Self {
-            compile_threads: options.compile_threads(),
-            compile_grain: options.compile_grain(),
-            complement_edges: options.complement_edges(),
-            op_cache_capacity: options.op_cache_capacity(),
-        }
+        Self { node_budget: options.node_budget(), deadline_ms: options.deadline_ms() }
     }
 }
 

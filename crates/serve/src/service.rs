@@ -58,11 +58,9 @@ pub struct ServiceConfig {
     pub threads: usize,
     /// Live-node budget of the pipeline cache (`None` = unbounded).
     pub node_budget: Option<usize>,
-    /// The kernel knobs every compilation runs under (compile threads,
-    /// parallel grain, complemented edges, op-cache capacity) — one
-    /// [`CompileOptions`] value instead of mirrored per-knob fields.
-    /// Never part of the cache key: compiled diagrams and yields are
-    /// bit-identical at every setting (see [`SweepMatrix::options`]).
+    /// The resource limits every compilation runs under (node budget,
+    /// deadline). Never part of the cache key (see
+    /// [`SweepMatrix::options`]).
     pub options: CompileOptions,
 }
 

@@ -47,11 +47,12 @@ pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Erro
 /// # Errors
 ///
 /// Returns a readable [`Error`] naming the byte offset of the first
-/// malformed construct, including trailing garbage after the document.
+/// malformed construct, including trailing garbage after the document
+/// and arrays or objects nested deeper than [`MAX_DEPTH`].
 pub fn from_str(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::parse(pos, "trailing characters after the document"));
@@ -89,12 +90,21 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Deepest nesting of arrays and objects [`from_str`] accepts. The
+/// parser recurses once per level, so without a limit one line of
+/// unbalanced brackets would overflow the stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    let nested = matches!(bytes.get(*pos), Some(b'{' | b'['));
+    if nested && depth >= MAX_DEPTH {
+        return Err(Error::parse(*pos, "nesting too deep"));
+    }
     match bytes.get(*pos) {
         None => Err(Error::parse(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
@@ -118,7 +128,7 @@ fn parse_keyword(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -131,7 +141,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -145,7 +155,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -154,7 +164,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -437,6 +447,27 @@ mod tests {
         ] {
             let err = super::from_str(bad).unwrap_err();
             assert!(err.to_string().contains("JSON parse error"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth_without_overflowing_the_stack() {
+        // `depth` levels: `depth - 1` wrappers around one empty innermost.
+        let nested = |open: &str, empty: &str, close: &str, depth: usize| {
+            format!("{}{empty}{}", open.repeat(depth - 1), close.repeat(depth - 1))
+        };
+        let arrays = |depth| nested("[", "[]", "]", depth);
+        let objects = |depth| nested("{\"a\":", "{}", "}", depth);
+        assert!(super::from_str(&arrays(super::MAX_DEPTH)).is_ok());
+        assert!(super::from_str(&objects(super::MAX_DEPTH)).is_ok());
+        for bad in [
+            arrays(super::MAX_DEPTH + 1),
+            objects(super::MAX_DEPTH + 1),
+            // Far past any stack: must still be a typed error, not an abort.
+            "[".repeat(200_000),
+        ] {
+            let err = super::from_str(&bad).unwrap_err();
+            assert!(err.to_string().contains("nesting too deep"), "{err}");
         }
     }
 

@@ -231,17 +231,15 @@ fn stats_responses_echo_the_active_compile_options() {
     let threads = std::env::var("SOCY_TEST_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(2);
     let mut service = YieldService::new(ServiceConfig {
         threads,
-        options: socy_serve::CompileOptions::new()
-            .with_compile_threads(2)
-            .with_complement_edges(false),
+        options: socy_serve::CompileOptions::new().with_node_budget(4096).with_deadline_ms(1500),
         ..ServiceConfig::default()
     });
     let stats = service.handle_line(r#"{"type":"stats","id":"o"}"#);
     assert!(stats.ok);
     let line = stats.to_json_line();
     assert!(line.contains(r#""options":{"#), "{line}");
-    assert!(line.contains(r#""compile_threads":2"#), "{line}");
-    assert!(line.contains(r#""complement_edges":false"#), "{line}");
+    assert!(line.contains(r#""node_budget":4096"#), "{line}");
+    assert!(line.contains(r#""deadline_ms":1500"#), "{line}");
 }
 
 #[test]
@@ -319,6 +317,20 @@ fn malformed_and_unresolvable_requests_answer_with_errors() {
 
     // Responses always serialize to a single line.
     assert!(!garbage.to_json_line().contains('\n'));
+}
+
+#[test]
+fn a_deeply_nested_line_answers_with_an_error_and_the_service_answers_the_next() {
+    let mut service = service();
+    let nested = service.handle_line(&"[".repeat(200_000));
+    assert!(!nested.ok);
+    assert_eq!(nested.kind, "error");
+    assert!(nested.error.as_ref().unwrap().contains("nesting too deep"), "{:?}", nested.error);
+    assert!(nested.to_json_line().contains(r#""kind":"error""#));
+
+    let next = service.handle_line(&analyze_ms2("after"));
+    assert!(next.ok, "{:?}", next.error);
+    assert_eq!(next.compiled.as_deref(), Some("cold"));
 }
 
 #[test]
